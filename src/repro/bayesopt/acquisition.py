@@ -9,7 +9,15 @@ probability of feasibility, the standard treatment for unknown constraints
 from __future__ import annotations
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
+
+#: sqrt(2*pi), the divisor ``scipy.stats.norm.pdf`` uses.
+_SQRT_2PI = np.sqrt(2 * np.pi)
+
+
+def _norm_pdf(z: np.ndarray) -> np.ndarray:
+    """Standard normal density, bit-identical to ``scipy.stats.norm.pdf``."""
+    return np.exp(-(z**2) / 2.0) / _SQRT_2PI
 
 
 def expected_improvement(
@@ -21,7 +29,7 @@ def expected_improvement(
     improvement = mean - best - xi
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(std > 0, improvement / std, 0.0)
-    ei = improvement * norm.cdf(z) + std * norm.pdf(z)
+    ei = improvement * ndtr(z) + std * _norm_pdf(z)
     # Degenerate (zero-std) points fall back to plain improvement.
     ei = np.where(std > 0, ei, np.maximum(improvement, 0.0))
     return np.maximum(ei, 0.0)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import TrainingError
-from repro.ml.optimizers import Optimizer, get_optimizer
+from repro.ml.optimizers import bind_flat_buffers, get_optimizer
 from repro.rng import as_generator
 
 #: Binary multiply-accumulates packed per CU MAC lane (XNOR + popcount).
@@ -66,6 +66,7 @@ class BinaryDense:
         self.bias = np.zeros(out_dim)
         self._x: np.ndarray | None = None
         self._z: np.ndarray | None = None
+        self._wb: np.ndarray | None = None
         self._grad_w = np.zeros_like(self.latent_weights)
         self._grad_b = np.zeros_like(self.bias)
 
@@ -78,14 +79,17 @@ class BinaryDense:
         return int(self.latent_weights.size + self.bias.size)
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        z = (x @ self.binary_weights + self.bias) * self.pre_scale
+        wb = self.binary_weights
+        z = (x @ wb + self.bias) * self.pre_scale
         if training:
-            self._x, self._z = x, z
+            # backward reuses these signs; the latent weights change only after it.
+            self._x, self._z, self._wb = x, z, wb
         if self.binarize_output:
             return binarize(z)
         return z
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray, input_grad: bool = True):
+        """Write the STE gradients in place; return dL/dx unless ``input_grad`` is off."""
         if self._x is None or self._z is None:
             raise TrainingError("backward() called before a training forward()")
         if self.binarize_output:
@@ -95,14 +99,9 @@ class BinaryDense:
             grad_z = grad_out
         grad_pre = grad_z * self.pre_scale
         # STE for binary weights: apply dL/dWb to the latent weights.
-        self._grad_w = self._x.T @ grad_pre
-        self._grad_b = grad_pre.sum(axis=0)
-        return grad_pre @ self.binary_weights.T
-
-    def apply_update(self, optimizer: Optimizer, key: str) -> None:
-        optimizer.update(f"{key}.w", self.latent_weights, self._grad_w)
-        optimizer.update(f"{key}.b", self.bias, self._grad_b)
-        np.clip(self.latent_weights, -1.0, 1.0, out=self.latent_weights)
+        np.matmul(self._x.T, grad_pre, out=self._grad_w)
+        np.add.reduce(grad_pre, axis=0, out=self._grad_b)
+        return grad_pre @ self._wb.T if input_grad else None
 
 
 class BinarizedNetwork:
@@ -191,6 +190,12 @@ class BinarizedNetwork:
         # Map {0,1} targets onto the ±1 logit scale.
         targets = np.where(y > 0, 1.0, -1.0)
         opt = get_optimizer(optimizer, learning_rate)
+        params, grads = bind_flat_buffers(
+            [(layer, "latent_weights", "_grad_w") for layer in self.layers]
+            + [(layer, "bias", "_grad_b") for layer in self.layers]
+        )
+        latent = params[: self.weight_bits]  # all latent weights lead: one clip
+        first, rest = self.layers[0], self.layers[1:][::-1]
         losses = []
         n = X.shape[0]
         for _ in range(int(epochs)):
@@ -204,10 +209,11 @@ class BinarizedNetwork:
                 epoch_loss += float(np.mean((logits - tb) ** 2))
                 batches += 1
                 grad = 2.0 * (logits - tb) / tb.size
-                for layer in reversed(self.layers):
+                for layer in rest:
                     grad = layer.backward(grad)
-                for li, layer in enumerate(self.layers):
-                    layer.apply_update(opt, str(li))
+                first.backward(grad, input_grad=False)
+                opt.step(params, grads)
+                np.clip(latent, -1.0, 1.0, out=latent)
             losses.append(epoch_loss / max(batches, 1))
         return losses
 

@@ -1,8 +1,8 @@
 """Network layers: Dense (fully connected) and Dropout.
 
 Layers cache whatever the backward pass needs during forward; ``backward``
-returns the gradient with respect to the layer input and stores parameter
-gradients for the optimizer step.
+returns the gradient with respect to the layer input and writes parameter
+gradients in place (views into the network's flat buffer during ``fit``).
 """
 
 from __future__ import annotations
@@ -77,13 +77,14 @@ class Dense(Layer):
         self._out = out if training else None
         return out
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray, input_grad: bool = True):
+        """Write dL/dW and dL/db in place; return dL/dx unless ``input_grad`` is off."""
         if self._x is None or self._out is None:
             raise TrainingError("backward() called before a training forward()")
         grad_pre = grad_out * self.activation.backward(self._out)
-        self._grad_w = self._x.T @ grad_pre
-        self._grad_b = grad_pre.sum(axis=0)
-        return grad_pre @ self.weights.T
+        np.matmul(self._x.T, grad_pre, out=self._grad_w)
+        np.add.reduce(grad_pre, axis=0, out=self._grad_b)
+        return grad_pre @ self.weights.T if input_grad else None
 
     def parameters(self) -> dict[str, np.ndarray]:
         return {"weights": self.weights, "bias": self.bias}

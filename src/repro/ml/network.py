@@ -16,7 +16,7 @@ import numpy as np
 from repro.errors import TrainingError
 from repro.ml.layers import Dense, Dropout, Layer
 from repro.ml.losses import Loss, get_loss
-from repro.ml.optimizers import Optimizer, get_optimizer
+from repro.ml.optimizers import Optimizer, bind_flat_buffers, get_optimizer
 from repro.rng import as_generator
 
 
@@ -153,6 +153,12 @@ class NeuralNetwork:
             )
         opt = get_optimizer(optimizer, learning_rate)
         loss_fn = get_loss(loss if loss is not None else self._default_loss())
+        slots = (("weights", "_grad_w"), ("bias", "_grad_b"))
+        params, grads = bind_flat_buffers(
+            [(d, p, g) for d in self.dense_layers for p, g in slots]
+        )
+        # The first layer's input gradient would flow into the data: skip it.
+        first, rest = self.layers[0], self.layers[1:][::-1]
         self.history = TrainHistory()
         best = np.inf
         since_best = 0
@@ -168,13 +174,10 @@ class NeuralNetwork:
                 epoch_loss += loss_fn.value(yb, pred)
                 batches += 1
                 grad = loss_fn.gradient(yb, pred)
-                for layer in reversed(self.layers):
+                for layer in rest:
                     grad = layer.backward(grad)
-                for li, layer in enumerate(self.layers):
-                    params = layer.parameters()
-                    grads = layer.gradients()
-                    for key in params:
-                        opt.update(f"{li}.{key}", params[key], grads[key])
+                first.backward(grad, input_grad=False)
+                opt.step(params, grads)
             epoch_loss /= max(batches, 1)
             self.history.loss.append(epoch_loss)
             monitored = epoch_loss

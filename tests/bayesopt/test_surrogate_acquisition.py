@@ -135,3 +135,43 @@ class TestAcquisition:
             mean, std, best_feasible=0.0, pof=np.array([1.0, 0.5])
         )
         assert scores[0] == pytest.approx(2 * scores[1], rel=1e-6)
+
+
+class TestAcquisitionWithoutScipyStats:
+    """EI uses ``scipy.special`` and a closed-form pdf, not ``scipy.stats``."""
+
+    def test_worker_import_does_not_load_scipy_stats(self):
+        import os
+        import subprocess
+        import sys
+
+        code = "import sys, repro.distrib.worker; print('scipy.stats' in sys.modules)"
+        src = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env,
+            check=True,
+        )
+        assert out.stdout.strip() == "False"
+
+    def test_ei_bitwise_equal_to_scipy_stats_reference(self):
+        from scipy.stats import norm
+
+        rng = np.random.default_rng(0)
+        n = 200_000
+        mean = rng.normal(0.0, 2.0, n)
+        std = np.abs(rng.normal(0.0, 1.5, n))
+        std[::50] = 0.0
+        mean[1::97] = 0.5  # z == 0 exactly where std > 0
+        mean[2::89] = np.inf
+        mean[3::83] = -np.inf
+        best, xi = 0.5, 0.0
+
+        improvement = mean - best - xi
+        with np.errstate(divide="ignore", invalid="ignore"):
+            z = np.where(std > 0, improvement / std, 0.0)
+            ref = improvement * norm.cdf(z) + std * norm.pdf(z)
+            ref = np.maximum(np.where(std > 0, ref, np.maximum(improvement, 0.0)), 0.0)
+            got = expected_improvement(mean, std, best, xi=xi)
+        assert (z == 0).any() and np.isinf(z).any()
+        assert got.tobytes() == ref.tobytes()

@@ -32,14 +32,13 @@ class TestBinaryDense:
         out = layer.forward(np.random.default_rng(1).normal(size=(10, 3)))
         assert set(np.unique(out)) <= {-1.0, 1.0}
 
-    def test_latent_weights_clipped(self):
-        from repro.ml.optimizers import SGD
-
-        layer = BinaryDense(2, 2, rng=np.random.default_rng(0))
-        layer.forward(np.ones((4, 2)), training=True)
-        layer.backward(np.full((4, 2), 100.0))
-        layer.apply_update(SGD(learning_rate=10.0), "k")
-        assert np.all(np.abs(layer.latent_weights) <= 1.0)
+    def test_latent_weights_clipped(self, blobs_binary):
+        Xtr, ytr, _, _ = blobs_binary
+        bnn = BinarizedNetwork([7, 6, 4, 1], seed=0)
+        bnn.fit(Xtr[:64], ytr[:64], epochs=2, learning_rate=1e3, optimizer="sgd")
+        for layer in bnn.layers:
+            assert np.all(np.abs(layer.latent_weights) <= 1.0)
+        assert any(np.any(np.abs(layer.latent_weights) == 1.0) for layer in bnn.layers)
 
     def test_backward_requires_training_forward(self):
         layer = BinaryDense(2, 2, rng=np.random.default_rng(0))

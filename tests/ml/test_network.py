@@ -83,15 +83,15 @@ class TestOptimizers:
     def test_sgd_moves_against_gradient(self):
         opt = SGD(learning_rate=0.1)
         param = np.array([1.0])
-        opt.update("p", param, np.array([2.0]))
+        opt.step(param, np.array([2.0]))
         assert param[0] == pytest.approx(0.8)
 
     def test_momentum_accumulates(self):
         opt = SGD(learning_rate=0.1, momentum=0.9)
         param = np.array([0.0])
-        opt.update("p", param, np.array([1.0]))
+        opt.step(param, np.array([1.0]))
         first = param[0]
-        opt.update("p", param, np.array([1.0]))
+        opt.step(param, np.array([1.0]))
         second_step = param[0] - first
         assert abs(second_step) > abs(first)
 
@@ -99,7 +99,7 @@ class TestOptimizers:
         opt = Adam(learning_rate=0.1)
         param = np.array([5.0])
         for _ in range(200):
-            opt.update("p", param, 2.0 * param)
+            opt.step(param, 2.0 * param)
         assert abs(param[0]) < 0.05
 
     def test_bad_lr_raises(self):
