@@ -46,7 +46,7 @@ from conftest import write_json_result  # noqa: E402
 
 import numpy as np
 
-from repro.control import FleetController, FleetWorker
+from repro.control.harness import Fleet
 from repro.distrib.driver import run_sharded
 from repro.distrib.launchers import InProcessLauncher, WorkQueueLauncher
 from repro.distrib.worker import CHAOS_KILL_ENV
@@ -92,19 +92,18 @@ async def run_recovery_leg(args, lines: list, failures: list) -> dict:
     pre = phase_trace(n_trace_flows, PHASE_PRE, seed=SEED + 101)
     post = phase_trace(n_trace_flows, PHASE_SHIFTED, seed=SEED + 202)
 
-    stop = asyncio.Event()
     capture = TrafficCapture(capacity=4096,
                              feature_names=PACKET_FEATURE_NAMES)
     engine = AsyncStreamEngine(
         v0, PacketFeatureExtractor(), batch_size=BATCH_SIZE,
         queue_depth=512, drop_policy="block", capture=capture,
     )
-    worker = FleetWorker("w0", engine, version="v0")
-    controller = FleetController([worker])
+    fleet = Fleet({"w0": engine})
+    worker, = fleet.workers
     monitor = DriftMonitor(window=192, min_window=64,
                            feature_names=PACKET_FEATURE_NAMES)
     loop = AdaptationLoop(
-        controller, monitor,
+        fleet.controller, monitor,
         adaptation_spec_factory(budget=budget, seed=SEED,
                                 train_epochs=epochs),
         shards=2, max_retries=1, check_interval_s=0.2,
@@ -118,10 +117,10 @@ async def run_recovery_leg(args, lines: list, failures: list) -> dict:
         acc = capture.accuracy(last=ACCURACY_WINDOW)
         pre_shift_accuracy.append(acc)
 
-    worker.attach(asyncio.create_task(engine.run(
-        shifting_traffic(stop, pre, post, rate=RATE_PPS,
-                         shift_after_s=SHIFT_AFTER_S, on_shift=on_shift))))
-    loop_task = asyncio.create_task(loop.run(stop))
+    fleet.start(lambda stop: shifting_traffic(
+        stop, pre, post, rate=RATE_PPS, shift_after_s=SHIFT_AFTER_S,
+        on_shift=on_shift))
+    loop_task = asyncio.create_task(loop.run(fleet.stop_event))
 
     clock = asyncio.get_running_loop()
     deadline = clock.time() + DEADLINE_S
@@ -144,11 +143,11 @@ async def run_recovery_leg(args, lines: list, failures: list) -> dict:
                     break
             await asyncio.sleep(0.05)
     finally:
-        stop.set()
-        await asyncio.gather(worker.task, return_exceptions=True)
+        for name, exc in (await fleet.stop()).items():
+            failures.append(f"{name}: died ({exc!r})")
         await loop_task
 
-    summary = engine.stats.summary()
+    summary = fleet.summary()["workers"]["w0"]
     base = pre_shift_accuracy[0] if pre_shift_accuracy else None
     final_acc = capture.accuracy(last=ACCURACY_WINDOW)
     lines.append(
@@ -174,14 +173,14 @@ async def run_recovery_leg(args, lines: list, failures: list) -> dict:
             f"(bound {RECOVERY_BATCH_BOUND})")
     if summary["dropped"] != 0:
         failures.append(f"dropped {summary['dropped']} packets in block mode")
-    if summary["enqueued"] != summary["packets"] + summary["dropped"]:
+    if not summary["conserved"]:
         failures.append(
             f"counters not conserved ({summary['enqueued']} != "
             f"{summary['packets']} + {summary['dropped']})")
     lines.append(
         f"[w0] {summary['packets']} packets, {summary['dropped']} dropped, "
         f"{summary['swaps']} swaps, {summary['batches']} batches, "
-        f"conservation {'ok' if summary['enqueued'] == summary['packets'] + summary['dropped'] else 'VIOLATED'}")
+        f"conservation {'ok' if summary['conserved'] else 'VIOLATED'}")
     return {
         "pre_shift_accuracy": base,
         "final_accuracy": final_acc,

@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import argparse
 import asyncio
-import dataclasses
 import os
 import sys
 
@@ -61,12 +60,11 @@ from repro.control import (
     ControlClient,
     ControlServer,
     DeployConflict,
-    FleetController,
-    FleetWorker,
     RegressionGate,
 )
+from repro.control.harness import Fleet, build_trace, looping_traffic
 from repro.datasets import load_botnet
-from repro.datasets.botnet import flow_label, generate_botnet_flows
+from repro.datasets.botnet import generate_botnet_flows
 from repro.eval.baselines import train_baseline_dnn
 from repro.obs import get_registry, parse_prometheus
 from repro.runtime import FlowmarkerTracker
@@ -92,40 +90,6 @@ def train_pipeline(name: str, n_train_flows: int, seed: int):
     return TaurusBackend().compile_model(net, scaler=scaler, name=name)
 
 
-def build_trace(n_flows: int, seed: int):
-    flows = generate_botnet_flows(n_flows, seed=seed)
-    tagged = sorted(
-        ((p.timestamp, p, flow_label(f)) for f in flows for p in f),
-        key=lambda item: item[0],
-    )
-    packets = [item[1] for item in tagged]
-    labels = [item[2] for item in tagged]
-    return packets, labels
-
-
-async def looping_traffic(packets, labels, stop: asyncio.Event):
-    """Replay the trace in a loop at ~RATE_PPS, timestamps kept monotonic."""
-    span = (packets[-1].timestamp - packets[0].timestamp + 1.0
-            if len(packets) > 1 else 1.0)
-    chunk = max(1, int(RATE_PPS // 100))
-    pause = chunk / RATE_PPS
-    lap = 0
-    while not stop.is_set():
-        shift = lap * span
-        sent = 0
-        for packet, label in zip(packets, labels):
-            if stop.is_set():
-                return
-            if shift:
-                packet = dataclasses.replace(
-                    packet, timestamp=packet.timestamp + shift)
-            yield (packet, label)
-            sent += 1
-            if sent % chunk == 0:
-                await asyncio.sleep(pause)
-        lap += 1
-
-
 async def run_bench(args, lines: list, failures: list,
                     obs_summary: dict) -> dict:
     n_workers = 2 if args.smoke else 3
@@ -135,29 +99,23 @@ async def run_bench(args, lines: list, failures: list,
     v0 = train_pipeline("bd-v0", n_train, seed=13)
     v1 = train_pipeline("bd-v1", n_train, seed=29)
     v_slow = TimedPipeline(v1, per_batch_s=SLOW_PER_BATCH_S)
-    packets, labels = build_trace(n_flows, seed=99)
+    packets, labels = build_trace(generate_botnet_flows(n_flows, seed=99))
 
-    stop = asyncio.Event()
-    workers = []
-    for index in range(n_workers):
-        engine = AsyncStreamEngine(
+    gate = RegressionGate(latency_factor=2.5, latency_floor_s=0.05,
+                          min_batches=4, settle_s=10.0)
+    fleet = Fleet({
+        f"w{index}": AsyncStreamEngine(
             v0, FlowmarkerTracker(max_conversations=4096),
             batch_size=BATCH_SIZE, max_latency=MAX_LATENCY_US * 1e-6,
             queue_depth=1024, drop_policy="block",
         )
-        workers.append(FleetWorker(f"w{index}", engine, version="v0"))
-    gate = RegressionGate(latency_factor=2.5, latency_floor_s=0.05,
-                          min_batches=4, settle_s=10.0)
-    controller = FleetController(workers, gate=gate)
-    controller.register_pipeline("v1", v1)
-    controller.register_pipeline("v-slow", v_slow)
-
-    for worker in workers:
-        worker.attach(asyncio.create_task(
-            worker.engine.run(looping_traffic(packets, labels, stop)),
-            name=f"bench-{worker.name}",
-        ))
-    server = ControlServer(controller)
+        for index in range(n_workers)
+    }, gate=gate)
+    workers = fleet.workers
+    fleet.controller.register_pipeline("v1", v1)
+    fleet.controller.register_pipeline("v-slow", v_slow)
+    fleet.start(lambda stop: looping_traffic(packets, labels, stop, RATE_PPS))
+    server = ControlServer(fleet.controller)
     port = await server.start()
     client = ControlClient(port=port)
     lines.append(f"fleet: {n_workers} workers x bd, {len(packets)} packets "
@@ -256,8 +214,7 @@ async def run_bench(args, lines: list, failures: list,
         if rollback["reverted"] != [last.name] or last.engine.pipeline is not v0:
             failures.append("instant rollback did not restore v0")
 
-        fleet = await client.fleet()
-        totals = fleet["totals"]
+        totals = (await client.fleet())["totals"]
         lines.append(f"fleet totals mid-run: {totals}")
         if totals["dropped"] != 0:
             failures.append(f"fleet dropped {totals['dropped']} packets")
@@ -302,15 +259,16 @@ async def run_bench(args, lines: list, failures: list,
         obs_summary["span_events"] = len(trace_doc["events"])
         obs_summary["deploy_ops"] = ops_mid
     finally:
-        stop.set()
-        await asyncio.gather(*(w.task for w in workers))
+        for name, exc in (await fleet.stop()).items():
+            failures.append(f"{name}: died ({exc!r})")
         await server.stop()
 
     lines.append("")
+    fleet_summary = fleet.summary()
     worker_metrics = {}
     for worker in workers:
-        stats = worker.engine.stats
-        summary = stats.summary()
+        summary = worker.engine.stats.summary()
+        counters = fleet_summary["workers"][worker.name]
         lines.append(
             f"[{worker.name}] {summary['packets']} packets, "
             f"{summary['swaps']} swaps, {summary['dropped']} dropped, "
@@ -323,13 +281,14 @@ async def run_bench(args, lines: list, failures: list,
             "latency_p99_us": summary["latency_p99_us"],
             "final_version": worker.version,
         }
-        if stats.enqueued != stats.packets + stats.dropped:
+        if not counters["conserved"]:
             failures.append(
                 f"{worker.name}: counters not conserved "
-                f"({stats.enqueued} != {stats.packets} + {stats.dropped})")
-        if stats.dropped != 0:
-            failures.append(f"{worker.name}: dropped {stats.dropped}")
-        if stats.packets == 0:
+                f"({counters['enqueued']} != {counters['packets']} + "
+                f"{counters['dropped']})")
+        if counters["dropped"] != 0:
+            failures.append(f"{worker.name}: dropped {counters['dropped']}")
+        if counters["packets"] == 0:
             failures.append(f"{worker.name}: served no traffic")
     return worker_metrics
 

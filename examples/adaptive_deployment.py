@@ -36,7 +36,8 @@ Run:  PYTHONPATH=src python examples/adaptive_deployment.py
 
 import asyncio
 
-from repro.control import ControlClient, ControlServer, FleetController, FleetWorker
+from repro.control import ControlClient, ControlServer
+from repro.control.harness import Fleet
 from repro.drift import AdaptationLoop, DriftMonitor, TrafficCapture
 from repro.drift.scenario import (
     PHASE_PRE,
@@ -68,8 +69,6 @@ print(f"traces: {len(pre[0])} pre-shift packets, "
 
 
 async def main():
-    stop = asyncio.Event()
-
     # The capture ring taps the engine's record stage: every classified
     # packet lands here with its features, label, prediction, timestamp.
     # It is both the drift detectors' evidence and the retrain dataset.
@@ -81,17 +80,17 @@ async def main():
         drop_policy="block",    # lossless — the zero-drop gate is real
         capture=capture,
     )
-    worker = FleetWorker("w0", engine, version="v0")
-    controller = FleetController([worker])
+    fleet = Fleet({"w0": engine})   # one worker under a FleetController
+    worker, = fleet.workers
 
     monitor = DriftMonitor(window=192, min_window=64,
                            feature_names=PACKET_FEATURE_NAMES)
     loop = AdaptationLoop(
-        controller, monitor,
+        fleet.controller, monitor,
         adaptation_spec_factory(budget=3, seed=SEED, train_epochs=10),
         shards=2, max_retries=1, check_interval_s=0.25,
     )
-    server = ControlServer(controller, adaptation=loop)
+    server = ControlServer(fleet.controller, adaptation=loop)
     port = await server.start()
     print(f"control plane on :{port} (GET /adaptation for loop state)\n")
 
@@ -100,10 +99,10 @@ async def main():
         print(f">>> traffic shifted (botnet went evasive); serving "
               f"accuracy at the shift: {acc}")
 
-    worker.attach(asyncio.create_task(engine.run(
-        shifting_traffic(stop, pre, post, rate=RATE_PPS,
-                         shift_after_s=SHIFT_AFTER_S, on_shift=on_shift))))
-    loop_task = asyncio.create_task(loop.run(stop))
+    fleet.start(lambda stop: shifting_traffic(
+        stop, pre, post, rate=RATE_PPS, shift_after_s=SHIFT_AFTER_S,
+        on_shift=on_shift))
+    loop_task = asyncio.create_task(loop.run(fleet.stop_event))
 
     clock = asyncio.get_running_loop()
     deadline = clock.time() + 150.0
@@ -118,14 +117,14 @@ async def main():
     # Let adapt-1 serve for a moment so the recovery shows in the window.
     await asyncio.sleep(1.0)
     remote = await ControlClient(port=port).adaptation()
-    stop.set()
-    await asyncio.gather(worker.task, return_exceptions=True)
+    await fleet.stop()
     await loop_task
     await server.stop()
-    return remote, worker, monitor
+    return remote, fleet, monitor
 
 
-remote, worker, monitor = asyncio.run(main())
+remote, fleet, monitor = asyncio.run(main())
+worker, = fleet.workers
 
 # --- 3. what the loop did -------------------------------------------------- #
 print("\ntimeline:")
@@ -139,13 +138,12 @@ for event in remote["events"]:
           f"(retrained on {retrain.get('rows', '?')} captured rows, "
           f"winner {retrain.get('algorithm', '?')})")
 
-summary = worker.engine.stats.summary()
+summary = fleet.summary()["workers"][worker.name]
 recovered = worker.engine.capture.accuracy(last=128)
-conserved = summary["enqueued"] == summary["packets"] + summary["dropped"]
 print(f"\nfleet after adaptation: {worker.name} serving {worker.version}")
 print(f"  {summary['packets']} packets, {summary['dropped']} dropped, "
       f"{summary['swaps']} swap(s), conservation "
-      f"{'ok' if conserved else 'VIOLATED'}")
+      f"{'ok' if summary['conserved'] else 'VIOLATED'}")
 print(f"  window accuracy now: {recovered}")
 print(
     "\nno operator touched anything: the same search that generated v0 "

@@ -48,29 +48,16 @@ See ``docs/serving.md`` and ``docs/control.md`` for what each knob does.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 import repro
-from repro.alchemy import DataLoader, Model
-from repro.alchemy.platforms import PlatformSpec
 from repro.backends.registry import available_backends, resolve_backend_name
 from repro.core.export import export_report
-from repro.datasets import load_botnet, load_csv_dataset, load_iot
+from repro.datasets import APPS
 from repro.distrib.launchers import LAUNCHERS
 from repro.distrib.scheduler import GRANULARITIES
-from repro.distrib.runspec import APP_LOADERS
 from repro.serving import DROP_POLICIES
-
-#: app key -> (model name, seed offset).  The offset keeps each app's
-#: dataset stream independent of the others for a given --seed; both the
-#: serial and sharded paths load through the single
-#: repro.distrib.runspec.APP_LOADERS registry, so they can never
-#: materialize different arrays.
-_APPS = {
-    "ad": ("anomaly_detection", 7),
-    "tc": ("traffic_classification", 11),
-    "bd": ("botnet_detection", 13),
-}
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -80,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
                "runtime ('repro.cli serve --help' for its flags).",
     )
     source = parser.add_mutually_exclusive_group(required=True)
-    source.add_argument("--app", choices=sorted(_APPS), help="built-in application")
+    source.add_argument("--app", choices=sorted(APPS), help="built-in application")
     source.add_argument("--train", help="training CSV (with --test)")
     parser.add_argument("--test", help="test CSV (with --train)")
     parser.add_argument("--name", default="pipeline", help="model name for CSV input")
@@ -204,58 +191,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _serve_packet_dataset(n_train_flows: int, n_test_flows: int, seed: int):
-    """Per-packet header features labeled botnet/benign (the serve-mode
-    AD task: same stream the BD route sees, packet-level features)."""
-    import numpy as np
-
-    from repro.datasets.base import Dataset
-    from repro.datasets.botnet import flow_label, generate_botnet_flows
-    from repro.netsim.features import PACKET_FEATURE_NAMES, packet_features
-
-    def split(n_flows: int, split_seed: int):
-        flows = generate_botnet_flows(n_flows, seed=split_seed)
-        rows = [packet_features(p) for f in flows for p in f]
-        labels = [flow_label(f) for f in flows for _ in f]
-        return np.stack(rows), np.array(labels, dtype=int)
-
-    train_x, train_y = split(n_train_flows, seed)
-    test_x, test_y = split(n_test_flows, seed + 1)
-    return Dataset(
-        train_x=train_x, train_y=train_y, test_x=test_x, test_y=test_y,
-        feature_names=PACKET_FEATURE_NAMES, name="ad-packet",
-    )
-
-
-def _build_serve_routes(names: list, seed: int) -> list:
-    """Train + compile one baseline pipeline per requested application."""
-    from repro.backends.taurus import TaurusBackend
-    from repro.eval.baselines import train_baseline_dnn
-    from repro.runtime import FlowmarkerTracker, PacketFeatureExtractor
-
-    backend = TaurusBackend()
-    specs = []
-    for name in names:
-        if name == "bd":
-            dataset = load_botnet(
-                n_train_flows=150, n_test_flows=2, seed=seed + 13,
-                per_packet_test=False,
-            )
-            extractor = FlowmarkerTracker(max_conversations=4096)
-        elif name == "tc":
-            dataset = load_iot(seed=seed + 11)
-            extractor = PacketFeatureExtractor()
-        elif name == "ad":
-            dataset = _serve_packet_dataset(150, 40, seed + 7)
-            extractor = PacketFeatureExtractor()
-        else:
-            raise ValueError(name)
-        net, scaler = train_baseline_dnn(name, dataset, seed=seed)
-        pipeline = backend.compile_model(net, scaler=scaler, name=name)
-        specs.append((name, pipeline, extractor))
-    return specs
-
-
 def _parse_priorities(spec: "str | None", names: list) -> "dict | None":
     """Parse ``--priorities 'bd=4,ad=1'`` into a route-weight dict."""
     if spec is None:
@@ -278,7 +213,7 @@ def _parse_priorities(spec: "str | None", names: list) -> "dict | None":
 def serve_main(argv: "list | None" = None) -> int:
     args = build_serve_parser().parse_args(argv)
     names = [n.strip() for n in args.pipelines.split(",") if n.strip()]
-    unknown = sorted(set(names) - {"ad", "tc", "bd"})
+    unknown = sorted(set(names) - set(APPS))
     if unknown or not names:
         print(f"error: --pipelines must name ad, tc and/or bd, got "
               f"{args.pipelines!r}", file=sys.stderr)
@@ -312,22 +247,22 @@ def serve_main(argv: "list | None" = None) -> int:
         print("error: --swap-after must be >= 1", file=sys.stderr)
         return 2
 
-    from repro.datasets.botnet import flow_label, generate_botnet_flows
+    from repro.control.harness import baseline_pipeline, build_trace, extractor_for
+    from repro.datasets.botnet import generate_botnet_flows
     from repro.serving import AsyncStreamEngine, PipelineRouter, Route, TimedPipeline
 
     print(f"training baseline pipelines: {', '.join(names)} ...")
     routes = []
-    for name, pipeline, extractor in _build_serve_routes(names, args.seed):
+    for name in names:
+        pipeline, dataset = baseline_pipeline(name, args.seed)
         if args.device_us > 0:
             pipeline = TimedPipeline(pipeline, per_batch_s=args.device_us * 1e-6)
         engine = AsyncStreamEngine(
             pipeline,
-            extractor,
+            extractor_for(dataset),
             batch_size=args.batch_size,
-            max_latency=(
-                args.max_latency_us * 1e-6
-                if args.max_latency_us is not None else None
-            ),
+            max_latency=(None if args.max_latency_us is None
+                         else args.max_latency_us * 1e-6),
             queue_depth=args.queue_depth,
             drop_policy=args.drop_policy,
             infer_workers=args.infer_workers,
@@ -339,29 +274,19 @@ def serve_main(argv: "list | None" = None) -> int:
         print("route weights: " + ", ".join(
             f"{route.name}={route.weight}" for route in routes))
 
-    flows = generate_botnet_flows(args.flows, seed=args.seed + 1234)
-    tagged = []
-    for flow in flows:
-        label = flow_label(flow)
-        for packet in flow:
-            # ad and bd are labeled by the stream; tc classifies device
-            # classes this capture has no ground truth for.
-            tagged.append((packet.timestamp, packet, {"ad": label, "bd": label}))
-    tagged.sort(key=lambda item: item[0])
-    packets = [item[1] for item in tagged]
-    labels = [item[2] for item in tagged]
+    packets, stream_labels = build_trace(
+        generate_botnet_flows(args.flows, seed=args.seed + 1234))
+    labeled = [name for name in names if APPS[name].stream_labeled]
+    labels = [dict.fromkeys(labeled, label) for label in stream_labels]
     span = packets[-1].timestamp - packets[0].timestamp if len(packets) > 1 else 0.0
     if args.speed > 0:
         pacing = (f"{args.speed:g}x pacing, ~{span / args.speed:.0f} s "
                   f"of wall clock for {span:.0f} s of capture")
     else:
         pacing = "unpaced"
-    print(f"replaying {len(packets)} packets across {len(flows)} flows ({pacing})")
+    print(f"replaying {len(packets)} packets across {args.flows} flows ({pacing})")
 
-    from repro.obs import flush_obs
-
-    restore_signals = _install_obs_flush()
-    try:
+    with _flushing_obs():
         if args.swap_after is not None:
             import asyncio
 
@@ -369,11 +294,8 @@ def serve_main(argv: "list | None" = None) -> int:
 
             print(f"hitless upgrade armed: rolling swap after "
                   f"{args.swap_after} packets")
-            v2 = {
-                name: pipeline
-                for name, pipeline, _ in _build_serve_routes(
-                    names, args.seed + 1)
-            }
+            v2 = {name: baseline_pipeline(name, args.seed + 1)[0]
+                  for name in names}
 
             async def run_with_swap() -> None:
                 swap_task = None
@@ -401,9 +323,6 @@ def serve_main(argv: "list | None" = None) -> int:
             asyncio.run(run_with_swap())
         else:
             router.process(packets, labels, speed=args.speed)
-    finally:
-        flush_obs()
-        restore_signals()
     for name in names:
         stats = router.stats[name]
         summary = stats.summary()
@@ -438,7 +357,7 @@ def build_control_parser(action: str) -> argparse.ArgumentParser:
         parser.add_argument("--workers", type=int, default=2,
                             help="serving workers under the controller")
         parser.add_argument(
-            "--app", default="bd", choices=sorted(_APPS),
+            "--app", default="bd", choices=sorted(APPS),
             help="application every worker serves",
         )
         parser.add_argument("--flows", type=int, default=120,
@@ -479,81 +398,49 @@ def build_control_parser(action: str) -> argparse.ArgumentParser:
 
 
 def _control_serve(args) -> int:
-    """Stand up N workers + the HTTP controller; serve until stopped."""
+    """Stand up N workers + the HTTP controller; serve until stopped.
+
+    Exit 0 iff every worker survived and its counters conserve
+    (``enqueued == packets + dropped``) once the stream drains."""
     import asyncio
 
-    from repro.control import ControlServer, FleetController, FleetWorker
-    from repro.runtime import FlowmarkerTracker, PacketFeatureExtractor
+    from repro.control import ControlServer
+    from repro.control.harness import (
+        Fleet,
+        baseline_pipeline,
+        build_trace,
+        extractor_for,
+        looping_traffic,
+    )
+    from repro.datasets.botnet import generate_botnet_flows
     from repro.serving import AsyncStreamEngine
 
-    def make_extractor():
-        if args.app == "bd":
-            return FlowmarkerTracker(max_conversations=4096)
-        return PacketFeatureExtractor()
-
     print(f"training {args.app} pipelines (v0 + candidate v1) ...")
-    (_, v0, _), = _build_serve_routes([args.app], args.seed)
-    (_, v1, _), = _build_serve_routes([args.app], args.seed + 1)
+    v0, dataset = baseline_pipeline(args.app, args.seed)
+    v1, _ = baseline_pipeline(args.app, args.seed + 1)
+    packets, labels = build_trace(
+        generate_botnet_flows(args.flows, seed=args.seed + 1234))
+    if not APPS[args.app].stream_labeled:
+        labels = None
 
-    from repro.datasets.botnet import flow_label, generate_botnet_flows
-
-    flows = generate_botnet_flows(args.flows, seed=args.seed + 1234)
-    tagged = sorted(
-        ((p.timestamp, p, flow_label(f)) for f in flows for p in f),
-        key=lambda item: item[0],
-    )
-    packets = [item[1] for item in tagged]
-    labels = [item[2] if args.app in ("ad", "bd") else None for item in tagged]
-
-    import dataclasses
-
-    span = (packets[-1].timestamp - packets[0].timestamp + 1.0
-            if len(packets) > 1 else 1.0)
-
-    async def traffic(stop: "asyncio.Event"):
-        # Loop the trace forever at ~args.rate packets/s: emit in small
-        # chunks with a sleep sized to the chunk, so pacing holds without
-        # a per-packet timer.  Each lap shifts timestamps by the trace
-        # span so stateful extractors see a monotonic stream.
-        chunk = max(1, int(args.rate // 100) or 1)
-        pause = chunk / args.rate
-        lap = 0
-        while not stop.is_set():
-            shift = lap * span
-            sent = 0
-            for packet, label in zip(packets, labels):
-                if stop.is_set():
-                    return
-                if shift:
-                    packet = dataclasses.replace(
-                        packet, timestamp=packet.timestamp + shift)
-                yield (packet, label)
-                sent += 1
-                if sent % chunk == 0:
-                    await asyncio.sleep(pause)
-            lap += 1
+    verdict: dict = {}
 
     async def serve() -> None:
-        stop = asyncio.Event()
-        workers = []
-        for index in range(args.workers):
-            engine = AsyncStreamEngine(
-                v0, make_extractor(),
+        fleet = Fleet({
+            f"w{index}": AsyncStreamEngine(
+                v0, extractor_for(dataset),
                 batch_size=args.batch_size,
                 max_latency=args.max_latency_us * 1e-6,
                 queue_depth=args.queue_depth,
                 drop_policy=args.drop_policy,
             )
-            worker = FleetWorker(f"w{index}", engine, version="v0")
-            workers.append(worker)
-        controller = FleetController(workers)
-        controller.register_pipeline("v1", v1)
-        for worker in workers:
-            worker.attach(asyncio.create_task(
-                worker.engine.run(traffic(stop)),
-                name=f"fleet-{worker.name}",
-            ))
-        server = ControlServer(controller, host=args.host, port=args.port)
+            for index in range(args.workers)
+        })
+        fleet.controller.register_pipeline("v1", v1)
+        fleet.start(lambda stop: looping_traffic(packets, labels, stop,
+                                                 args.rate))
+        server = ControlServer(fleet.controller, host=args.host,
+                               port=args.port)
         port = await server.start()
         print(f"fleet controller on http://{args.host}:{port} "
               f"({args.workers} x {args.app} workers, versions: v0 live, "
@@ -566,33 +453,26 @@ def _control_serve(args) -> int:
         except (KeyboardInterrupt, asyncio.CancelledError):
             pass
         finally:
-            stop.set()
-            done = await asyncio.gather(
-                *(worker.task for worker in workers if worker.task),
-                return_exceptions=True,
-            )
-            for worker, result in zip(workers, done):
-                if isinstance(result, Exception):
-                    print(f"[{worker.name}] died: {result}", file=sys.stderr)
+            for name, exc in (await fleet.stop()).items():
+                print(f"[{name}] died: {exc!r}", file=sys.stderr)
             await server.stop()
-        for worker in workers:
+        for worker in fleet.workers:
             summary = worker.engine.stats.summary()
             print(f"[{worker.name}] {summary['packets']} packets, "
                   f"{summary['swaps']} swaps, {summary['dropped']} dropped, "
                   f"p99 {summary['latency_p99_us']:.0f} us "
                   f"(version {worker.version})")
+        verdict.update(fleet.summary())
 
-    from repro.obs import flush_obs
-
-    restore_signals = _install_obs_flush()
-    try:
+    # Ctrl-C cancels serve(), which still drains and judges the fleet.
+    with _flushing_obs(), contextlib.suppress(KeyboardInterrupt):
         asyncio.run(serve())
-    except KeyboardInterrupt:
-        pass
-    finally:
-        flush_obs()
-        restore_signals()
-    return 0
+    if not verdict:
+        return 130
+    ok = not verdict["dead"] and verdict["conserved"]
+    print(f"fleet {'ok' if ok else 'FAILED'}: dead={verdict['dead']} "
+          f"dropped={verdict['dropped']} conserved={verdict['conserved']}")
+    return 0 if ok else 1
 
 
 def _control_client(action: str, args) -> int:
@@ -604,6 +484,8 @@ def _control_client(action: str, args) -> int:
     from repro.errors import ControlError
 
     client = ControlClient(host=args.host, port=args.port)
+    only = getattr(args, "only", None)
+    only = [n.strip() for n in only.split(",") if n.strip()] if only else None
 
     async def call():
         if action == "fleet":
@@ -614,13 +496,9 @@ def _control_client(action: str, args) -> int:
                 gate["latency_factor"] = args.latency_factor
             if args.settle_s is not None:
                 gate["settle_s"] = args.settle_s
-            only = ([n.strip() for n in args.only.split(",") if n.strip()]
-                    if args.only else None)
             return await client.deploy(args.version, gate=gate or None,
                                        workers=only)
         if action == "rollback":
-            only = ([n.strip() for n in args.only.split(",") if n.strip()]
-                    if args.only else None)
             return await client.rollback(workers=only)
         weights = {}
         for part in args.weights.split(","):
@@ -722,7 +600,8 @@ def _adapt_serve(args) -> int:
     with zero drops in block mode) — the CI smoke contract."""
     import asyncio
 
-    from repro.control import ControlServer, FleetController, FleetWorker
+    from repro.control import ControlServer
+    from repro.control.harness import Fleet
     from repro.drift import AdaptationLoop, DriftMonitor, TrafficCapture
     from repro.drift.scenario import (
         PHASE_PRE,
@@ -742,45 +621,37 @@ def _adapt_serve(args) -> int:
     post = phase_trace(args.flows, PHASE_SHIFTED, seed=args.seed + 202)
 
     async def run() -> int:
-        stop = asyncio.Event()
-        workers = []
-        for index in range(args.workers):
-            capture = TrafficCapture(
-                capacity=args.capture, feature_names=PACKET_FEATURE_NAMES,
-            )
-            engine = AsyncStreamEngine(
+        fleet = Fleet({
+            f"w{index}": AsyncStreamEngine(
                 v0, PacketFeatureExtractor(),
                 batch_size=args.batch_size,
                 queue_depth=args.queue_depth,
                 drop_policy="block",
-                capture=capture,
+                capture=TrafficCapture(capacity=args.capture,
+                                       feature_names=PACKET_FEATURE_NAMES),
             )
-            workers.append(FleetWorker(f"w{index}", engine, version="v0"))
-        controller = FleetController(workers)
+            for index in range(args.workers)
+        })
         monitor = DriftMonitor(
             window=args.window, min_window=args.min_window,
             feature_names=PACKET_FEATURE_NAMES,
         )
         adaptation = AdaptationLoop(
-            controller, monitor,
+            fleet.controller, monitor,
             adaptation_spec_factory(budget=args.budget, seed=args.seed,
                                     train_epochs=args.train_epochs),
             shards=args.shards,
             max_retries=args.max_retries,
             check_interval_s=args.check_interval_s,
         )
-        for worker in workers:
-            worker.attach(asyncio.create_task(
-                worker.engine.run(shifting_traffic(
-                    stop, pre, post, rate=args.rate,
-                    shift_after_s=args.shift_after_s,
-                    on_shift=lambda: print("-- traffic shifted --"),
-                )),
-                name=f"adapt-{worker.name}",
-            ))
-        loop_task = asyncio.create_task(adaptation.run(stop))
-        server = ControlServer(controller, host=args.host, port=args.port,
-                               adaptation=adaptation)
+        fleet.start(lambda stop: shifting_traffic(
+            stop, pre, post, rate=args.rate,
+            shift_after_s=args.shift_after_s,
+            on_shift=lambda: print("-- traffic shifted --"),
+        ))
+        loop_task = asyncio.create_task(adaptation.run(fleet.stop_event))
+        server = ControlServer(fleet.controller, host=args.host,
+                               port=args.port, adaptation=adaptation)
         port = await server.start()
         print(f"adaptation loop on http://{args.host}:{port} "
               f"({args.workers} worker(s), shift at "
@@ -796,28 +667,20 @@ def _adapt_serve(args) -> int:
                     break
                 await asyncio.sleep(0.2)
         finally:
-            stop.set()
-            done = await asyncio.gather(
-                *(worker.task for worker in workers if worker.task),
-                return_exceptions=True,
-            )
-            for worker, result in zip(workers, done):
-                if isinstance(result, Exception):
-                    print(f"[{worker.name}] died: {result}", file=sys.stderr)
+            for name, exc in (await fleet.stop()).items():
+                print(f"[{name}] died: {exc!r}", file=sys.stderr)
             await loop_task
             await server.stop()
 
-        ok = adaptation.deployed >= 1
-        for worker in workers:
-            summary = worker.engine.stats.summary()
-            conserved = (summary["enqueued"]
-                         == summary["packets"] + summary["dropped"])
-            ok = ok and conserved and summary["dropped"] == 0
+        summary = fleet.summary()
+        ok = adaptation.deployed >= 1 and summary["lossless"]
+        for worker in fleet.workers:
+            doc = summary["workers"][worker.name]
             accuracy = worker.engine.capture.accuracy(last=args.window)
-            print(f"[{worker.name}] {summary['packets']} packets, "
-                  f"{summary['dropped']} dropped, "
-                  f"{summary['swaps']} swaps, conservation "
-                  f"{'ok' if conserved else 'VIOLATED'}, "
+            print(f"[{worker.name}] {doc['packets']} packets, "
+                  f"{doc['dropped']} dropped, "
+                  f"{doc['swaps']} swaps, conservation "
+                  f"{'ok' if doc['conserved'] else 'VIOLATED'}, "
                   f"window accuracy "
                   f"{accuracy if accuracy is None else round(accuracy, 3)} "
                   f"(version {worker.version})")
@@ -830,16 +693,11 @@ def _adapt_serve(args) -> int:
               f"-> {'OK' if ok else 'FAILED'}")
         return 0 if ok else 1
 
-    from repro.obs import flush_obs
-
-    restore_signals = _install_obs_flush()
-    try:
-        return asyncio.run(run())
-    except KeyboardInterrupt:
-        return 130
-    finally:
-        flush_obs()
-        restore_signals()
+    with _flushing_obs():
+        try:
+            return asyncio.run(run())
+        except KeyboardInterrupt:
+            return 130
 
 
 def adapt_main(argv: "list | None" = None) -> int:
@@ -909,6 +767,19 @@ def _install_obs_flush():
                 pass
 
     return restore
+
+
+@contextlib.contextmanager
+def _flushing_obs():
+    """Flush obs artifacts on exit, and on SIGINT/SIGTERM before teardown."""
+    from repro.obs import flush_obs
+
+    restore = _install_obs_flush()
+    try:
+        yield
+    finally:
+        flush_obs()
+        restore()
 
 
 def build_obs_parser(action: str) -> argparse.ArgumentParser:
@@ -1024,7 +895,7 @@ def obs_main(argv: "list | None" = None) -> int:
     return 0
 
 
-def _dump_sharded_obs(out, shard_dir: "str | None") -> None:
+def _dump_sharded_obs(out) -> None:
     """Write the merged cross-shard obs artifacts after a sharded run.
 
     Spans pooled from every shard land as a Chrome trace plus the merged
@@ -1054,13 +925,16 @@ def _dump_sharded_obs(out, shard_dir: "str | None") -> None:
           f"{timeline.get('critical_path_s', 0.0):.3f} s)")
 
 
-def _sharded_main(args) -> int:
-    """The distributed generate path: RunSpec -> run_sharded -> report."""
-    from repro.distrib import DatasetRef, ModelEntry, RunSpec, make_launcher, run_sharded
+def _run_spec(args):
+    """The compile run the flags describe; the serial and sharded paths
+    both build from it, so they can never load different data."""
+    from repro.distrib import DatasetRef, ModelEntry, RunSpec
 
     if args.app:
-        name, offset = _APPS[args.app]
-        dataset_ref = DatasetRef.for_app(args.app, seed=args.seed + offset)
+        app = APPS[args.app]
+        name = app.model_name
+        dataset_ref = DatasetRef.for_app(args.app,
+                                         seed=args.seed + app.seed_offset)
     else:
         name = args.name
         dataset_ref = DatasetRef.for_csv(args.train, args.test, name=name)
@@ -1069,7 +943,7 @@ def _sharded_main(args) -> int:
         performance["throughput"] = args.throughput
     if args.latency is not None:
         performance["latency"] = args.latency
-    spec = RunSpec(
+    return RunSpec(
         target=args.target,
         models=[
             ModelEntry(
@@ -1087,6 +961,12 @@ def _sharded_main(args) -> int:
         batch_size=args.batch_size,
         cache_dir=args.cache_dir,
     )
+
+
+def _sharded_report(args, spec):
+    """The distributed generate path: RunSpec -> run_sharded -> report."""
+    from repro.distrib import make_launcher, run_sharded
+
     launcher_name = args.launcher or "inprocess"
     launcher_kwargs: dict = {}
     if launcher_name == "workqueue":
@@ -1101,14 +981,8 @@ def _sharded_main(args) -> int:
         granularity=args.granularity or "unit", max_retries=args.max_retries,
     )
     print(out.summary())
-    _dump_sharded_obs(out, args.shard_dir)
-    best = out.report.best
-    if best is not None:
-        print(f"config: {best.best_config}")
-    if args.out:
-        path = export_report(out.report, args.out)
-        print(f"deployment bundle written to {path}")
-    return 0 if out.report.feasible else 1
+    _dump_sharded_obs(out)
+    return out.report
 
 
 def build_fabric_parser(action: str) -> argparse.ArgumentParser:
@@ -1172,10 +1046,8 @@ def fabric_main(argv: "list | None" = None) -> int:
         load_fabric_spec,
         plan_fabric,
     )
-    from repro.obs import flush_obs
 
-    restore_signals = _install_obs_flush()
-    try:
+    with _flushing_obs():
         if action == "plan":
             if args.shards < 1:
                 print("error: --shards must be >= 1", file=sys.stderr)
@@ -1222,11 +1094,11 @@ def fabric_main(argv: "list | None" = None) -> int:
         except (FabricError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
+        from repro.control.harness import build_trace
         from repro.datasets.botnet import generate_botnet_flows
 
-        flows = generate_botnet_flows(args.flows, seed=args.seed + 1234)
-        packets = sorted((p for f in flows for p in f),
-                         key=lambda p: p.timestamp)
+        packets, _ = build_trace(
+            generate_botnet_flows(args.flows, seed=args.seed + 1234))
         print(f"deploying {len(plan.devices)} placement(s) over "
               f"{len(packets)} replayed packets ...")
         try:
@@ -1246,27 +1118,18 @@ def fabric_main(argv: "list | None" = None) -> int:
                   f"{counters['dropped']} dropped, "
                   f"{counters['swaps']} swap(s), "
                   f"version {counters['version']}")
-        ok = report["ok"] and report["dropped"] == 0 and report["conserved"]
+        ok = report["ok"] and report["lossless"]
         print(f"rollout {'ok' if ok else 'FAILED'}: "
               f"dropped={report['dropped']} conserved={report['conserved']}")
         return 0 if ok else 1
-    finally:
-        flush_obs()
-        restore_signals()
 
 
 def main(argv: "list | None" = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    if argv and argv[0] == "serve":
-        return serve_main(argv[1:])
-    if argv and argv[0] == "control":
-        return control_main(argv[1:])
-    if argv and argv[0] == "obs":
-        return obs_main(argv[1:])
-    if argv and argv[0] == "adapt":
-        return adapt_main(argv[1:])
-    if argv and argv[0] == "fabric":
-        return fabric_main(argv[1:])
+    verbs = {"serve": serve_main, "control": control_main, "obs": obs_main,
+             "adapt": adapt_main, "fabric": fabric_main}
+    if argv and argv[0] in verbs:
+        return verbs[argv[0]](argv[1:])
     args = build_parser().parse_args(argv)
     try:
         # One resolver for every entry point: compile, fabric, topology
@@ -1290,48 +1153,20 @@ def main(argv: "list | None" = None) -> int:
     if args.max_retries < 0:
         print("error: --max-retries must be >= 0", file=sys.stderr)
         return 2
+    spec = _run_spec(args)
     if (args.shards > 1 or args.starts > 1 or args.launcher or args.shard_dir
             or args.granularity or args.max_retries > 0):
-        return _sharded_main(args)
-
-    if args.app:
-        name, offset = _APPS[args.app]
-        dataset = APP_LOADERS[args.app](seed=args.seed + offset)
+        report = _sharded_report(args, spec)
     else:
-        name = args.name
-        dataset = load_csv_dataset(args.train, args.test, name=name)
-
-    @DataLoader
-    def loader():
-        return dataset
-
-    spec = Model(
-        {
-            "optimization_metric": [args.metric],
-            "algorithm": args.algorithm or [],
-            "name": name,
-            "data_loader": loader,
-        }
-    )
-    platform = PlatformSpec(args.target)
-    performance = {}
-    if args.throughput is not None:
-        performance["throughput"] = args.throughput
-    if args.latency is not None:
-        performance["latency"] = args.latency
-    if performance:
-        platform.constrain(performance=performance)
-    platform.schedule(spec)
-
-    report = repro.generate(
-        platform,
-        budget=args.budget,
-        seed=args.seed,
-        n_workers=args.workers,
-        batch_size=args.batch_size,
-        cache_dir=args.cache_dir,
-    )
-    print(report.summary())
+        report = repro.generate(
+            spec.build_platform(),
+            budget=args.budget,
+            seed=args.seed,
+            n_workers=args.workers,
+            batch_size=args.batch_size,
+            cache_dir=args.cache_dir,
+        )
+        print(report.summary())
     best = report.best
     if best is not None:
         print(f"config: {best.best_config}")

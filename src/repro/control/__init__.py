@@ -14,7 +14,9 @@ over HTTP:
   window comparison on p99 latency and drop rate,
 * :class:`ControlServer` / :class:`ControlClient` — a stdlib-asyncio
   HTTP pair (``GET /fleet``, ``POST /deploy``, ``POST /rollback``,
-  ``POST /traffic-split``; concurrent mutations get ``409``).
+  ``POST /traffic-split``; concurrent mutations get ``409``),
+* :mod:`repro.control.harness` — the trace, traffic, extractor and
+  fleet start/stop/summary code every fleet entry point shares.
 
 See ``docs/control.md`` for the operator-facing tour and
 ``benchmarks/bench_control.py`` for a live mid-traffic rollout.

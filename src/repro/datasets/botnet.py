@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.datasets.base import Dataset
 from repro.errors import DatasetError
+from repro.netsim.features import PACKET_FEATURE_NAMES, packet_features
 from repro.netsim.flow import Flow
 from repro.netsim.flowmarker import (
     PAPER_SPEC,
@@ -118,8 +119,13 @@ def generate_botnet_flows(
     n_flows: int = 600,
     botnet_fraction: float = 0.5,
     seed: "int | np.random.Generator | None" = 13,
+    botnet_profiles: tuple = BOTNET_PROFILES,
 ) -> list[Flow]:
-    """Generate labeled flows: ``flow.label`` is the profile name."""
+    """Generate labeled flows: ``flow.label`` is the profile name.
+
+    ``botnet_profiles`` swaps in another botnet population (the drift
+    scenario's evasive one) with the same random draws.
+    """
     if n_flows < 2:
         raise DatasetError("need at least two flows")
     if not 0.0 < botnet_fraction < 1.0:
@@ -128,7 +134,7 @@ def generate_botnet_flows(
     flows = []
     for _ in range(n_flows):
         if rng.random() < botnet_fraction:
-            profile = BOTNET_PROFILES[int(rng.integers(len(BOTNET_PROFILES)))]
+            profile = botnet_profiles[int(rng.integers(len(botnet_profiles)))]
         else:
             profile = BENIGN_PROFILES[int(rng.integers(len(BENIGN_PROFILES)))]
         flows.append(generate_flow(profile, seed=rng))
@@ -210,14 +216,40 @@ def load_botnet(
         train_y=train_y,
         test_x=test_x,
         test_y=test_y,
-        feature_names=tuple(
-            [f"pl_bin_{i}" for i in range(spec.pl_bins)]
-            + [f"ipt_bin_{i}" for i in range(spec.ipt_bins)]
-        ),
+        feature_names=spec.feature_names,
         name="p2p-botnet",
         metadata={
             "task": "botnet-detection",
             "spec": spec,
             "per_packet_test": per_packet_test,
         },
+    )
+
+
+def load_botnet_packets(
+    n_train_flows: int = 150,
+    n_test_flows: int = 40,
+    seed: int = 13,
+    botnet_profiles: tuple = BOTNET_PROFILES,
+) -> Dataset:
+    """Per-packet header features labeled botnet/benign.
+
+    Train and test come from independently seeded flow populations
+    (``seed`` and ``seed + 1``); every packet is one row, labeled by its
+    flow.  This is the task a packet-feature pipeline serves on the
+    botnet replay stream.
+    """
+
+    def split(n_flows: int, split_seed: int):
+        flows = generate_botnet_flows(n_flows, seed=split_seed,
+                                      botnet_profiles=botnet_profiles)
+        rows = [packet_features(p) for f in flows for p in f]
+        labels = [flow_label(f) for f in flows for _ in f]
+        return np.stack(rows), np.array(labels, dtype=int)
+
+    train_x, train_y = split(n_train_flows, seed)
+    test_x, test_y = split(n_test_flows, seed + 1)
+    return Dataset(
+        train_x=train_x, train_y=train_y, test_x=test_x, test_y=test_y,
+        feature_names=PACKET_FEATURE_NAMES, name="p2p-botnet-packets",
     )

@@ -43,7 +43,7 @@ import numpy as np
 from repro.alchemy.dataloader import DataLoader
 from repro.alchemy.model import SUPPORTED_METRICS, Model
 from repro.alchemy.platforms import PlatformSpec
-from repro.datasets import load_botnet, load_csv_dataset, load_iot, load_nslkdd
+from repro.datasets import APPS, load_csv_dataset
 from repro.datasets.base import Dataset
 from repro.errors import SpecificationError
 
@@ -56,13 +56,10 @@ __all__ = [
     "load_dataset_npz",
 ]
 
-#: Registered named dataset loaders a :class:`DatasetRef` may point at.
-#: Each is a deterministic function of its keyword arguments.
-APP_LOADERS = {
-    "ad": load_nslkdd,
-    "tc": load_iot,
-    "bd": load_botnet,
-}
+#: Registered named dataset loaders a :class:`DatasetRef` may point at
+#: (the compile loaders of :data:`repro.datasets.APPS`).  Each is a
+#: deterministic function of its keyword arguments.
+APP_LOADERS = {key: app.loader for key, app in APPS.items()}
 
 
 def save_dataset_npz(dataset: Dataset, path: str) -> str:

@@ -28,17 +28,16 @@ import dataclasses
 
 import numpy as np
 
+from repro.control.harness import build_trace
 from repro.datasets.base import Dataset
 from repro.datasets.botnet import (
-    BENIGN_PROFILES,
     BOTNET_PROFILES,
-    flow_label,
+    generate_botnet_flows,
+    load_botnet_packets,
 )
 from repro.distrib.runspec import DatasetRef, ModelEntry, RunSpec
 from repro.errors import AdaptationError
-from repro.netsim.features import PACKET_FEATURE_NAMES, packet_features
-from repro.netsim.trace import TrafficProfile, generate_flow
-from repro.rng import as_generator
+from repro.netsim.trace import TrafficProfile
 
 __all__ = [
     "PHASE_PRE",
@@ -105,32 +104,15 @@ def generate_phase_flows(
     botnet_fraction: float = 0.5,
 ) -> list:
     """Labeled flows with the phase's botnet profiles (benign unchanged)."""
-    if n_flows < 2:
-        raise AdaptationError("need at least two flows")
-    if not 0.0 < botnet_fraction < 1.0:
-        raise AdaptationError("botnet_fraction must be in (0, 1)")
-    botnet = _botnet_profiles(phase)
-    rng = as_generator(seed)
-    flows = []
-    for _ in range(n_flows):
-        if rng.random() < botnet_fraction:
-            profile = botnet[int(rng.integers(len(botnet)))]
-        else:
-            profile = BENIGN_PROFILES[int(rng.integers(len(BENIGN_PROFILES)))]
-        flows.append(generate_flow(profile, seed=rng))
-    return flows
+    return generate_botnet_flows(n_flows, botnet_fraction, seed,
+                                 botnet_profiles=_botnet_profiles(phase))
 
 
 def phase_trace(
     n_flows: int, phase: str = PHASE_PRE, seed: int = 13,
 ) -> tuple:
     """Timestamp-sorted ``(packets, labels)`` for one phase's traffic."""
-    flows = generate_phase_flows(n_flows, phase=phase, seed=seed)
-    tagged = sorted(
-        ((p.timestamp, p, flow_label(f)) for f in flows for p in f),
-        key=lambda item: item[0],
-    )
-    return [item[1] for item in tagged], [item[2] for item in tagged]
+    return build_trace(generate_phase_flows(n_flows, phase=phase, seed=seed))
 
 
 def packet_dataset(
@@ -141,20 +123,10 @@ def packet_dataset(
 ) -> Dataset:
     """Per-packet 7-feature dataset for one phase (train/test split by
     independently seeded flow populations, like the serve-mode AD task)."""
-
-    def split(n_flows: int, split_seed: int):
-        flows = generate_phase_flows(n_flows, phase=phase, seed=split_seed)
-        rows = [packet_features(p) for f in flows for p in f]
-        labels = [flow_label(f) for f in flows for _ in f]
-        return np.stack(rows), np.array(labels, dtype=int)
-
-    train_x, train_y = split(n_train_flows, seed)
-    test_x, test_y = split(n_test_flows, seed + 1)
-    return Dataset(
-        train_x=train_x, train_y=train_y, test_x=test_x, test_y=test_y,
-        feature_names=PACKET_FEATURE_NAMES, name=f"adaptive-{phase}",
-        metadata={"phase": phase, "seed": seed},
-    )
+    dataset = load_botnet_packets(n_train_flows, n_test_flows, seed=seed,
+                                  botnet_profiles=_botnet_profiles(phase))
+    return dataclasses.replace(dataset, name=f"adaptive-{phase}",
+                               metadata={"phase": phase, "seed": seed})
 
 
 def train_initial_pipeline(

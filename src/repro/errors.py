@@ -51,6 +51,11 @@ class AdaptationError(HomunculusError):
     """A drift detector or the retrain-and-redeploy loop cannot proceed."""
 
 
+class NotServableError(ControlError):
+    """A pipeline was trained on features no packet extractor derives,
+    so it cannot serve a live packet stream."""
+
+
 class DeployConflict(ControlError):
     """A fleet mutation raced a rollout already in progress (HTTP 409)."""
 

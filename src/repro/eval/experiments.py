@@ -15,7 +15,7 @@ from repro.backends.fpga.resources import loopback_utilisation
 from repro.backends.fpga.power import SHELL_POWER_W
 from repro.backends.taurus import TaurusBackend, TaurusGrid
 from repro.core.fusion import fuse_datasets
-from repro.datasets import load_botnet, load_iot, load_nslkdd
+from repro.datasets import APPS as APP_TABLE
 from repro.datasets.botnet import generate_botnet_flows, partial_marker_dataset
 from repro.eval.baselines import train_baseline_dnn
 from repro.ml.metrics import f1_score
@@ -24,19 +24,20 @@ from repro.netsim.flowmarker import PAPER_SPEC, average_marker
 APPS = ("ad", "tc", "bd")
 
 
-def _load_app(app: str, quick: bool, seed: int):
+def _app_sizes(app: str, quick: bool) -> dict:
+    """Dataset size keywords for an app's compile loader."""
     if app == "ad":
-        n_train, n_test = (1600, 600) if quick else (2400, 800)
-        return load_nslkdd(n_train=n_train, n_test=n_test, seed=seed + 7)
+        return {"n_train": 1600, "n_test": 600} if quick else {"n_train": 2400, "n_test": 800}
     if app == "tc":
-        n_train, n_test = (1600, 600) if quick else (2500, 900)
-        return load_iot(n_train=n_train, n_test=n_test, seed=seed + 11)
+        return {"n_train": 1600, "n_test": 600} if quick else {"n_train": 2500, "n_test": 900}
     if app == "bd":
-        n_train, n_test = (300, 120) if quick else (500, 200)
-        return load_botnet(
-            n_train_flows=n_train, n_test_flows=n_test, seed=seed + 13
-        )
+        return ({"n_train_flows": 300, "n_test_flows": 120} if quick
+                else {"n_train_flows": 500, "n_test_flows": 200})
     raise ValueError(f"unknown app {app!r}")
+
+
+def _load_app(app: str, quick: bool, seed: int):
+    return APP_TABLE[app].load(seed, **_app_sizes(app, quick))
 
 
 def _make_model(app: str, dataset, algorithms=("dnn",)):
@@ -48,8 +49,7 @@ def _make_model(app: str, dataset, algorithms=("dnn",)):
         {
             "optimization_metric": ["f1"],
             "algorithm": list(algorithms),
-            "name": {"ad": "anomaly_detection", "tc": "traffic_classification",
-                     "bd": "botnet_detection"}[app],
+            "name": APP_TABLE[app].model_name,
             "data_loader": loader,
         }
     )
@@ -75,21 +75,15 @@ def _table2_sharded_reports(apps, budget: int, seed: int, quick: bool,
     from repro.core.reports import CompileReport
     from repro.distrib import DatasetRef, ModelEntry, RunSpec, make_launcher, run_sharded
 
-    sizes = {
-        "ad": {"n_train": 1600, "n_test": 600} if quick else {"n_train": 2400, "n_test": 800},
-        "tc": {"n_train": 1600, "n_test": 600} if quick else {"n_train": 2500, "n_test": 900},
-        "bd": {"n_train_flows": 300, "n_test_flows": 120} if quick
-              else {"n_train_flows": 500, "n_test_flows": 200},
-    }
-    offsets = {"ad": 7, "tc": 11, "bd": 13}
-    names = {"ad": "anomaly_detection", "tc": "traffic_classification",
-             "bd": "botnet_detection"}
+    names = {app: APP_TABLE[app].model_name for app in apps}
     spec = RunSpec(
         target="taurus",
         models=[
             ModelEntry(
                 name=names[app],
-                dataset=DatasetRef.for_app(app, seed=seed + offsets[app], **sizes[app]),
+                dataset=DatasetRef.for_app(
+                    app, seed=seed + APP_TABLE[app].seed_offset,
+                    **_app_sizes(app, quick)),
                 metric="f1",
                 algorithms=("dnn",),
                 seed=model_search_seed(seed, 0),
@@ -431,7 +425,8 @@ def format_fig4(result: dict) -> str:
 # --------------------------------------------------------------------------- #
 def run_fig6(n_flows: int = 400, seed: int = 0) -> dict:
     """Class-averaged packet-length and inter-arrival histograms."""
-    flows = generate_botnet_flows(n_flows, seed=seed + 13)
+    flows = generate_botnet_flows(n_flows,
+                                  seed=seed + APP_TABLE["bd"].seed_offset)
     botnet_names = {"storm", "waledac"}
     malicious = [f for f in flows if f.label in botnet_names]
     benign = [f for f in flows if f.label not in botnet_names]
@@ -532,9 +527,8 @@ def run_reaction_time(seed: int = 0, quick: bool = True,
     n_train, n_test = (300, 150) if quick else (500, 250)
     # Only the training split matters here; evaluation flows are generated
     # separately below so we can slice them by packet position.
-    dataset = load_botnet(
-        n_train_flows=n_train, n_test_flows=2, seed=seed + 13,
-        per_packet_test=False,
+    dataset = APP_TABLE["bd"].load(
+        seed, n_train_flows=n_train, n_test_flows=2, per_packet_test=False,
     )
     net, scaler = train_baseline_dnn("bd", dataset, seed=seed)
     backend = TaurusBackend()

@@ -15,19 +15,26 @@ swap, drain of the displaced pipeline, gate verdict on fresh
 micro-batches, rollback + abort on regression.  On top of those,
 :func:`deploy_plan`'s report asserts the two fabric gates CI checks:
 **zero drops** (lossless engines, lossless swaps) and **conservation**
-(every enqueued feature row was inferred — nothing lost in flight).
+(``enqueued == packets + dropped`` on every worker — nothing lost in
+flight), judged by the shared :class:`~repro.control.harness.Fleet`
+summary.
 """
 
 from __future__ import annotations
 
 import asyncio
-import dataclasses
 
 from repro.alchemy.platforms import PlatformSpec
-from repro.control import FleetController, FleetWorker, RegressionGate
+from repro.control import RegressionGate
+from repro.control.harness import (
+    Fleet,
+    extractor_for,
+    looping_traffic,
+    wait_for_batches,
+)
 from repro.core.evaluator import ModelEvaluator
 from repro.distrib.runspec import ModelEntry
-from repro.errors import FabricError
+from repro.errors import FabricError, NotServableError
 from repro.fabric.planner import FabricPlan, FabricSpec
 from repro.obs import get_registry, get_tracer
 
@@ -44,28 +51,15 @@ _DEFAULT_GATE = dict(latency_factor=10.0, latency_floor_s=5e-2,
                      drop_margin=0.5, min_batches=2, settle_s=10.0)
 
 
-def extractor_for(app: str):
-    """The packet-feature extractor matching a registered app's features.
-
-    ``bd`` trains on flow aggregates, so its serving twin is the
-    stateful :class:`~repro.runtime.FlowmarkerTracker`; ``tc`` trains on
-    per-packet features (:class:`~repro.runtime.PacketFeatureExtractor`).
-    ``ad``'s NSL-KDD features are not derivable from packets at all —
-    deploying it is a spec error, reported as such.
-    """
-    from repro.runtime import FlowmarkerTracker, PacketFeatureExtractor
-
-    if app == "bd":
-        return FlowmarkerTracker(max_conversations=4096)
-    if app == "tc":
-        return PacketFeatureExtractor()
-    raise FabricError(
-        f"app {app!r} is not packet-servable (its features are not "
-        f"derivable from a packet stream); deployable apps: ['bd', 'tc']"
-    )
+def _plan_datasets(plan: FabricPlan, spec: FabricSpec) -> dict:
+    """Materialize the dataset of every app the plan places, by app name."""
+    apps = {app.name: app for app in spec.apps}
+    return {name: apps[name].dataset.materialize()
+            for name in sorted({entry["app"] for entry in plan.devices})}
 
 
-def rebuild_plan_pipelines(plan: FabricPlan) -> dict:
+def rebuild_plan_pipelines(plan: FabricPlan,
+                           datasets: "dict | None" = None) -> dict:
     """Rebuild one servable pipeline per unique (tier, app) placement.
 
     Devices of a tier are interchangeable replicas (same seed, same
@@ -73,19 +67,19 @@ def rebuild_plan_pipelines(plan: FabricPlan) -> dict:
     of the tier.  The rebuild is the merge layer's rule —
     :meth:`ModelEvaluator.rebuild` under the entry's recorded seed —
     so the deployed pipeline is bit-identical to what the plan scored.
+    ``datasets`` (app name -> materialized dataset) skips re-loading.
     Returns ``{"tier:app": pipeline}``.
     """
     spec = FabricSpec.from_dict(plan.spec)
     apps = {app.name: app for app in spec.apps}
-    datasets: dict = {}
+    if datasets is None:
+        datasets = _plan_datasets(plan, spec)
     pipelines: dict = {}
     for entry in plan.devices:
         key = f"{entry['tier']}:{entry['app']}"
         if key in pipelines:
             continue
         app = apps[entry["app"]]
-        if app.name not in datasets:
-            datasets[app.name] = app.dataset.materialize()
         dataset = datasets[app.name]
         tier = spec.topology.tier(entry["tier"])
         platform = PlatformSpec(entry["target"])
@@ -106,57 +100,6 @@ def rebuild_plan_pipelines(plan: FabricPlan) -> dict:
     return pipelines
 
 
-def _looping_traffic(packets: list, stop: "asyncio.Event",
-                     rate: float):
-    """Loop a packet trace forever at ``rate`` packets/s.
-
-    Each lap shifts timestamps by the trace span so stateful extractors
-    see a monotonic stream; pacing is chunked (one sleep per chunk) so
-    it holds without a per-packet timer — the serve-path idiom.
-    """
-    span = (packets[-1].timestamp - packets[0].timestamp + 1.0
-            if len(packets) > 1 else 1.0)
-    chunk = max(1, int(rate // 100) or 1)
-    pause = chunk / rate
-
-    async def traffic():
-        lap = 0
-        while not stop.is_set():
-            shift = lap * span
-            sent = 0
-            for packet in packets:
-                if stop.is_set():
-                    return
-                if shift:
-                    packet = dataclasses.replace(
-                        packet, timestamp=packet.timestamp + shift)
-                yield (packet, None)
-                sent += 1
-                if sent % chunk == 0:
-                    await asyncio.sleep(pause)
-            lap += 1
-
-    return traffic()
-
-
-async def _wait_for_batches(workers: list, min_batches: int,
-                            timeout_s: float) -> None:
-    """Block until every engine has produced ``min_batches`` batches.
-
-    The gate compares pre- vs post-swap windows, so a worker swapped
-    before its first batch has no pre window and the verdict degrades
-    to "traffic dried up".  Bounded wait; a worker that never fills is
-    left to the gate to report.
-    """
-    loop = asyncio.get_running_loop()
-    deadline = loop.time() + timeout_s
-    while loop.time() < deadline:
-        counts = [w.engine.stats.counters()["batches"] for w in workers]
-        if all(count >= min_batches for count in counts):
-            return
-        await asyncio.sleep(0.05)
-
-
 def deploy_plan(
     plan: FabricPlan,
     packets: list,
@@ -170,27 +113,37 @@ def deploy_plan(
 
     One worker per (device, app) placement, bootstrapped at ``v0``
     serving its rebuilt plan pipeline and fed ``packets`` in a loop at
-    ``rate`` packets/s.  The rollout then walks switch tiers bottom-up,
+    ``rate`` packets/s.  Each worker's extractor follows the features
+    its app was trained on (:func:`extractor_for`); an app whose
+    features no packet extractor derives is refused before anything is
+    rebuilt.  The rollout then walks switch tiers bottom-up,
     deploying version ``plan-<tier>-<app>`` to each tier's workers
     through the regression gate; any aborted tier stops the rollout
     (upper tiers stay on ``v0``) and the report says which gate fired.
 
     Report keys: ``ok``, ``tiers`` (per-tier per-app controller
-    reports), ``workers`` (per-worker serving summaries), ``dropped``
-    (fabric-total, the zero-drop gate), ``conserved`` (every enqueued
-    row inferred, the conservation gate).
+    reports), ``workers`` (per-worker counters and version), ``dropped``
+    (fabric-total, the zero-drop gate), ``conserved`` (``enqueued ==
+    packets + dropped`` on every worker, the conservation gate),
+    ``lossless`` (zero drops, conserved, and no worker died).
     """
     if not packets:
         raise FabricError("deploy_plan needs a packet trace")
     gate = gate if gate is not None else RegressionGate(**_DEFAULT_GATE)
-    pipelines = rebuild_plan_pipelines(plan)
     spec = FabricSpec.from_dict(plan.spec)
+    datasets = _plan_datasets(plan, spec)
+    for name, dataset in datasets.items():
+        try:
+            extractor_for(dataset)
+        except NotServableError as exc:
+            raise FabricError(f"app {name!r}: {exc}") from exc
+    pipelines = rebuild_plan_pipelines(plan, datasets)
     tracer = get_tracer()
     outcome = "ok"
     try:
         with tracer.span("fabric.deploy", placements=len(plan.devices)):
             report = asyncio.run(
-                _deploy(plan, spec, pipelines, packets, gate,
+                _deploy(plan, spec, pipelines, datasets, packets, gate,
                         rate, batch_size, queue_depth, warm_s))
         if not report["ok"]:
             outcome = "aborted"
@@ -206,34 +159,26 @@ def deploy_plan(
         ).labels(outcome=outcome).inc()
 
 
-async def _deploy(plan, spec, pipelines, packets, gate, rate,
+async def _deploy(plan, spec, pipelines, datasets, packets, gate, rate,
                   batch_size, queue_depth, warm_s) -> dict:
     from repro.serving import AsyncStreamEngine
 
-    stop = asyncio.Event()
-    workers = []
-    for entry in plan.devices:
-        key = f"{entry['tier']}:{entry['app']}"
-        engine = AsyncStreamEngine(
-            pipelines[key], extractor_for(entry["app"]),
+    fleet = Fleet({
+        f"{entry['device']}:{entry['app']}": AsyncStreamEngine(
+            pipelines[f"{entry['tier']}:{entry['app']}"],
+            extractor_for(datasets[entry["app"]]),
             batch_size=batch_size, queue_depth=queue_depth,
             drop_policy="block",
         )
-        workers.append(FleetWorker(
-            f"{entry['device']}:{entry['app']}", engine, version="v0"))
-    controller = FleetController(workers, gate=gate)
+        for entry in plan.devices
+    }, gate=gate)
     for key, pipeline in pipelines.items():
         tier, _, app = key.partition(":")
-        controller.register_pipeline(f"plan-{tier}-{app}", pipeline)
-    for worker in workers:
-        worker.attach(asyncio.create_task(
-            worker.engine.run(_looping_traffic(packets, stop, rate)),
-            name=f"fabric-{worker.name}",
-        ))
-    report = {"ok": True, "tiers": {}, "workers": {},
-              "dropped": 0, "conserved": True}
+        fleet.controller.register_pipeline(f"plan-{tier}-{app}", pipeline)
+    fleet.start(lambda stop: looping_traffic(packets, None, stop, rate))
+    report = {"ok": True, "tiers": {}}
     try:
-        await _wait_for_batches(workers, gate.min_batches, warm_s)
+        await wait_for_batches(fleet.workers, gate.min_batches, warm_s)
         for tier in spec.topology.switch_tiers():
             tier_apps = sorted({
                 e["app"] for e in plan.devices if e["tier"] == tier.tier})
@@ -241,7 +186,7 @@ async def _deploy(plan, spec, pipelines, packets, gate, rate,
                 names = [f"{e['device']}:{e['app']}"
                          for e in plan.devices
                          if e["tier"] == tier.tier and e["app"] == app]
-                rollout = await controller.deploy(
+                rollout = await fleet.controller.deploy(
                     f"plan-{tier.tier}-{app}", workers=names)
                 report["tiers"].setdefault(tier.tier, {})[app] = {
                     k: rollout[k] for k in
@@ -254,20 +199,8 @@ async def _deploy(plan, spec, pipelines, packets, gate, rate,
             if not report["ok"]:
                 break
     finally:
-        stop.set()
-        await asyncio.gather(
-            *(w.task for w in workers if w.task), return_exceptions=True)
-    for worker in workers:
-        counters = worker.engine.stats.counters()
-        report["workers"][worker.name] = {
-            "version": worker.version,
-            "packets": counters["packets"],
-            "enqueued": counters["enqueued"],
-            "batch_rows": counters["batch_rows"],
-            "dropped": counters["dropped"],
-            "swaps": counters["swaps"],
-        }
-        report["dropped"] += counters["dropped"]
-        if counters["batch_rows"] != counters["enqueued"]:
-            report["conserved"] = False
+        await fleet.stop()
+    summary = fleet.summary()
+    report.update({key: summary[key] for key in
+                   ("workers", "dropped", "conserved", "lossless")})
     return report

@@ -55,6 +55,12 @@ class FlowMarkerSpec:
         """Marker width = PL bins + IPT bins (the paper's 23 + 7 = 30)."""
         return self.pl_bins + self.ipt_bins
 
+    @property
+    def feature_names(self) -> tuple:
+        """Column names of a marker: ``pl_bin_*`` then ``ipt_bin_*``."""
+        return tuple([f"pl_bin_{i}" for i in range(self.pl_bins)]
+                     + [f"ipt_bin_{i}" for i in range(self.ipt_bins)])
+
     def pl_bin(self, size: int) -> int:
         """Bin index for a packet length (clamped into the last bin)."""
         return min(int(size) // self.pl_bin_size, self.pl_bins - 1)

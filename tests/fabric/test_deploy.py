@@ -1,11 +1,18 @@
 """Deploying a plan: extractor matching, rebuilds, gated rollout."""
 
+import json
+import os
+
 import pytest
 
+from repro.datasets import load_botnet, load_iot, load_nslkdd
 from repro.datasets.botnet import generate_botnet_flows
-from repro.errors import FabricError
+from repro.distrib.runspec import DatasetRef
+from repro.errors import FabricError, NotServableError
 from repro.fabric import (
+    FabricApp,
     FabricPlan,
+    FabricSpec,
     deploy_plan,
     extractor_for,
     plan_fabric,
@@ -13,17 +20,25 @@ from repro.fabric import (
 )
 from repro.runtime import FlowmarkerTracker, PacketFeatureExtractor
 
+POD_SPEC = os.path.join(os.path.dirname(__file__), "..", "..", "examples",
+                        "fabric_pod.json")
+
 
 class TestExtractorFor:
+    """The extractor follows the features a pipeline was trained on."""
+
     def test_bd_gets_the_stateful_flow_tracker(self):
-        assert isinstance(extractor_for("bd"), FlowmarkerTracker)
+        dataset = load_botnet(n_train_flows=10, n_test_flows=2, seed=13)
+        assert isinstance(extractor_for(dataset), FlowmarkerTracker)
 
     def test_tc_gets_per_packet_features(self):
-        assert isinstance(extractor_for("tc"), PacketFeatureExtractor)
+        dataset = load_iot(n_train=40, n_test=20, seed=11)
+        assert isinstance(extractor_for(dataset), PacketFeatureExtractor)
 
     def test_ad_is_not_packet_servable(self):
-        with pytest.raises(FabricError, match="not packet-servable"):
-            extractor_for("ad")
+        dataset = load_nslkdd(n_train=40, n_test=20, seed=7)
+        with pytest.raises(NotServableError, match="not packet-servable"):
+            extractor_for(dataset)
 
 
 @pytest.fixture(scope="module")
@@ -76,3 +91,35 @@ class TestDeployPlan:
         doctored.devices[0]["app"] = "ad"
         with pytest.raises((FabricError, KeyError)):
             deploy_plan(doctored, [object()])
+
+
+class TestServabilityByTrainedFeatures:
+    """Servability follows the dataset, not the spec's free-form app name."""
+
+    def test_renamed_botnet_app_deploys(self, packets):
+        with open(POD_SPEC, encoding="utf-8") as handle:
+            doc = json.load(handle)
+        for entry in doc["apps"] + doc["traffic"]["demands"]:
+            if entry.get("name", entry.get("app")) == "bd":
+                entry["name" if "name" in entry else "app"] = "botnet"
+        plan = plan_fabric(FabricSpec.from_dict(doc))
+        assert len(plan.devices) == 3
+        assert {e["app"] for e in plan.devices} == {"botnet", "tc"}
+        report = deploy_plan(plan, packets, rate=6000.0)
+        assert report["ok"], report["tiers"]
+        assert report["dropped"] == 0
+        assert report["conserved"] and report["lossless"]
+        for doc in report["workers"].values():
+            assert doc["enqueued"] == doc["packets"] + doc["dropped"]
+            assert doc["version"].startswith("plan-")
+
+    def test_nslkdd_app_is_refused(self, make_leaf_spec, packets):
+        spec = make_leaf_spec()
+        spec.apps = [FabricApp(
+            "tc",  # a packet app's name does not make NSL-KDD servable
+            DatasetRef.for_app("ad", n_train=120, n_test=40, seed=7),
+            algorithms=("decision_tree",), tiers=("leaf",),
+        )]
+        plan = plan_fabric(spec)
+        with pytest.raises(FabricError, match="not packet-servable"):
+            deploy_plan(plan, packets)

@@ -131,6 +131,34 @@ class TestServeParser:
         assert "pipeline swaps: 1" in out
 
 
+class TestControlServe:
+    ARGS = ["control", "serve", "--port", "0", "--duration", "1.5",
+            "--workers", "2", "--flows", "30"]
+
+    def test_healthy_fleet_exits_0_without_drops(self, capsys):
+        assert main(self.ARGS) == 0
+        out = capsys.readouterr().out
+        for worker in ("w0", "w1"):
+            line = next(line for line in out.splitlines()
+                        if line.startswith(f"[{worker}] "))
+            assert " 0 dropped" in line
+            assert int(line.split()[1]) > 0  # packets served
+        assert "fleet ok" in out
+
+    def test_dead_worker_exits_1(self, monkeypatch, capsys):
+        import repro.control.harness as harness
+
+        async def dying_traffic(packets, labels, stop, rate):
+            yield packets[0], labels[0]
+            raise RuntimeError("source failed")
+
+        monkeypatch.setattr(harness, "looping_traffic", dying_traffic)
+        assert main(self.ARGS) == 1
+        captured = capsys.readouterr()
+        assert "died" in captured.err
+        assert "fleet FAILED" in captured.out
+
+
 class TestMain:
     def test_train_without_test_errors(self, capsys):
         assert main(["--train", "x.csv"]) == 2

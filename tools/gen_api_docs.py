@@ -25,8 +25,8 @@ import sys
 
 #: Packages whose public surface the reference documents.
 PACKAGES = ("repro.core", "repro.ml", "repro.bayesopt", "repro.distrib",
-            "repro.serving", "repro.control", "repro.obs", "repro.drift",
-            "repro.fabric")
+            "repro.serving", "repro.control", "repro.control.harness",
+            "repro.obs", "repro.drift", "repro.fabric")
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEFAULT_OUT = os.path.join(REPO_ROOT, "docs", "reference")
